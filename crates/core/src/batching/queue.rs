@@ -1177,6 +1177,9 @@ async fn dispatch_batch(
         inflight,
         permit,
     } = job;
+    // The batch is answered: stop counting it in flight before any sink
+    // settles, so a caller holding its answer never reads it as in flight.
+    drop(inflight);
     let rpc_elapsed = dispatch_time.elapsed();
     // A hedge win says nothing about *this* replica's latency or
     // health, so the batch controller, latency model, EWMA, error
@@ -1245,7 +1248,6 @@ async fn dispatch_batch(
         }
     }
     shared.put_items_buf(items);
-    drop(inflight);
     drop(permit);
 }
 
@@ -1620,6 +1622,34 @@ mod tests {
             "delayed batching should group arrivals, max batch {}",
             snap.max()
         );
+    }
+
+    #[tokio::test(flavor = "multi_thread", worker_threads = 2)]
+    async fn an_answered_query_is_no_longer_counted_in_flight() {
+        let q = spawn_replica_queue(
+            "m:0".into(),
+            echo_transport(),
+            QueueConfig {
+                strategy: BatchStrategy::NoBatching,
+                ..Default::default()
+            },
+            test_metrics(),
+        );
+        for v in 0..200 {
+            let (item, mut rx) = direct_item(v as f32);
+            q.submit(item);
+            // Spin without yielding, so the answer is seen the moment
+            // the dispatch task sends it.
+            let out = loop {
+                match rx.try_recv() {
+                    Ok(out) => break out,
+                    Err(oneshot::TryRecvError::Empty) => std::hint::spin_loop(),
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            assert_eq!(out, Ok(Output::Class(v as u32)));
+            assert_eq!(q.inflight(), 0, "answer {v} still counted in flight");
+        }
     }
 
     #[tokio::test]

@@ -11,6 +11,9 @@
 //! candidate model (the join the prediction cache accelerates, §4.2) and
 //! folds the result into the per-context policy state.
 //!
+//! Both reach the models through one gather that polls every model call
+//! inline on the caller's task, whatever the number of models.
+//!
 //! # Control plane (§3, §6.3)
 //!
 //! Applications and model versions are managed *at runtime*, without
@@ -49,9 +52,11 @@ use clipper_rpc::transport::BatchTransport;
 use clipper_statestore::StateStore;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::sync::{Arc, OnceLock};
+use std::task::Poll;
 use std::time::{Duration, Instant};
-use tokio::sync::mpsc;
 
 /// Builder for a [`Clipper`] instance.
 pub struct ClipperBuilder {
@@ -135,6 +140,10 @@ impl ClipperBuilder {
         }
     }
 }
+
+/// One model's in-flight `predict`, handing its `ModelId` back with the
+/// result.
+type ModelCall = Pin<Box<dyn Future<Output = (ModelId, Result<Output, PredictError>)> + Send>>;
 
 struct App {
     cfg: AppConfig,
@@ -624,8 +633,9 @@ impl Clipper {
         // Quiesce: predicts that selected the old version hold a clone of
         // the replaced App Arc and always return by their SLO deadline
         // (straggler mitigation); wait for those clones to drop — bounded
-        // by 2×SLO plus margin — so no in-flight query still targets the
-        // old version when its queues begin draining.
+        // by 2×SLO plus margin. A predict dispatches every model call
+        // before it drops its clone, so once the clones are gone no query
+        // still targets the old version when its queues begin draining.
         let quiesce_deadline = Instant::now() + max_slo * 2 + Duration::from_millis(250);
         while !old_apps.iter().all(|a| Arc::strong_count(a) == 1) {
             if Instant::now() >= quiesce_deadline {
@@ -633,8 +643,6 @@ impl Clipper {
             }
             tokio::time::sleep(Duration::from_millis(1)).await;
         }
-        // Margin for per-model fan-out tasks to reach their dispatch.
-        tokio::time::sleep(Duration::from_millis(10)).await;
 
         // Drain the old version through the graceful-drain machinery and
         // park it (configuration + transports) for rollback — unless an
@@ -1058,9 +1066,11 @@ impl Clipper {
     }
 
     /// Serve one prediction for `app`, optionally under a user/session
-    /// `context` (§5.3). Always returns by the app's SLO deadline (plus
-    /// scheduling noise): stragglers are substituted, and if *nothing*
-    /// arrived the app's default output is returned with zero confidence.
+    /// `context` (§5.3): select models, gather their answers until the
+    /// app's SLO deadline, substitute defaults for the missing ones, and
+    /// combine. Always returns by the deadline (plus scheduling noise):
+    /// stragglers are substituted, and if *nothing* arrived the app's
+    /// default output is returned with zero confidence.
     pub async fn predict(
         &self,
         app_name: &str,
@@ -1074,158 +1084,40 @@ impl Clipper {
         let app = self.app(app_name)?;
         let state = self.app_state(app_name, context, &app)?;
 
-        let mut selected = app.policy.select(&state, &input);
+        let selected = app.policy.select(&state, &input);
         if selected.is_empty() {
             return Err(PredictError::Failed("policy selected no models".into()));
         }
-        let deadline = start + app.cfg.slo;
-
-        // Single-candidate fast path — the common shape (one model per
-        // app) and the predict hot path. Calls the MAL inline instead of
-        // standing up an mpsc channel plus a spawned fan-out task per
-        // request. The SLO deadline still applies: on timeout the
-        // in-flight call moves to a background task so cache waiters
-        // settle and the model's running default keeps refreshing,
-        // exactly as the spawned fan-out would.
-        if selected.len() == 1 {
-            // The future carries the ModelId through and hands it back,
-            // so the completed path reuses the one clone as the preds
-            // key instead of cloning again.
-            let mut call = Box::pin({
-                let mal = self.inner.mal.clone();
-                let model = selected[0].clone();
-                let input = input.clone();
-                let use_cache = self.inner.cache_enabled;
-                async move {
-                    let result = mal.predict(&model, input, use_cache).await;
-                    (model, result)
-                }
-            });
-            let budget = deadline.saturating_duration_since(Instant::now());
-            let (model, arrived) = match tokio::time::timeout(budget, &mut call).await {
-                Ok((model, Ok(out))) => (model, Some(out)),
-                Ok((model, Err(_))) => (model, None),
-                Err(_) => {
-                    // Straggler: let it finish off-path.
-                    tokio::spawn(call);
-                    (selected.pop().expect("len == 1"), None)
-                }
-            };
-            let fresh = arrived.is_some();
-            let substituted = match arrived {
-                Some(out) => Some(out),
-                None => {
-                    let default = self.inner.mal.default_output(&model);
-                    if default.is_some() {
-                        self.inner.substitutions.inc();
-                    }
-                    default
-                }
-            };
-            let prediction = match substituted {
-                Some(out) => {
-                    let mut preds = HashMap::with_capacity(1);
-                    preds.insert(model, out);
-                    let (output, confidence) = app.policy.combine(&state, &input, &preds);
-                    Prediction {
-                        output,
-                        confidence,
-                        models_used: usize::from(fresh),
-                        models_missing: usize::from(!fresh),
-                        latency: start.elapsed(),
-                    }
-                }
-                None => {
-                    self.inner.defaults_used.inc();
-                    Prediction {
-                        output: app.cfg.default_output.clone(),
-                        confidence: 0.0,
-                        models_used: 0,
-                        models_missing: 1,
-                        latency: start.elapsed(),
-                    }
-                }
-            };
-            self.inner.predictions.mark();
-            self.inner
-                .latency_us
-                .record(prediction.latency.as_micros() as u64);
-            return Ok(prediction);
-        }
-
-        // Fan out; each model reports back over the channel as it lands.
-        let (tx, mut rx) =
-            mpsc::channel::<(ModelId, Result<Output, PredictError>)>(selected.len().max(1));
-        for model in selected.iter().cloned() {
-            let mal = self.inner.mal.clone();
-            let input = input.clone();
-            let tx = tx.clone();
-            let use_cache = self.inner.cache_enabled;
-            tokio::spawn(async move {
-                let result = mal.predict(&model, input, use_cache).await;
-                let _ = tx.send((model, result)).await;
-            });
-        }
-        drop(tx);
-
-        // Gather until the SLO deadline (straggler mitigation).
-        let mut preds: HashMap<ModelId, Output> = HashMap::new();
-        let mut settled = 0usize;
-        while settled < selected.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match tokio::time::timeout(deadline - now, rx.recv()).await {
-                Ok(Some((model, Ok(out)))) => {
-                    preds.insert(model, out);
-                    settled += 1;
-                }
-                Ok(Some((_, Err(_)))) => {
-                    settled += 1;
-                }
-                Ok(None) => break,
-                Err(_) => break, // deadline reached
-            }
-        }
-
+        let mut preds = self
+            .gather(&selected, &input, Some(start + app.cfg.slo))
+            .await;
         let arrived = preds.len();
-        let missing = selected.len() - arrived;
 
         // Substitute each missing model's running default (§5.2.2) so the
         // ensemble can still vote, with the loss of accuracy reflected in
         // the agreement-based confidence.
-        if missing > 0 {
-            for model in &selected {
-                if !preds.contains_key(model) {
-                    if let Some(default) = self.inner.mal.default_output(model) {
-                        preds.insert(model.clone(), default);
-                        self.inner.substitutions.inc();
-                    }
+        for model in &selected {
+            if !preds.contains_key(model) {
+                if let Some(default) = self.inner.mal.default_output(model) {
+                    preds.insert(model.clone(), default);
+                    self.inner.substitutions.inc();
                 }
             }
         }
 
-        let prediction = if preds.is_empty() {
+        let (output, confidence) = if preds.is_empty() {
             self.inner.defaults_used.inc();
-            Prediction {
-                output: app.cfg.default_output.clone(),
-                confidence: 0.0,
-                models_used: 0,
-                models_missing: selected.len(),
-                latency: start.elapsed(),
-            }
+            (app.cfg.default_output.clone(), 0.0)
         } else {
-            let (output, confidence) = app.policy.combine(&state, &input, &preds);
-            Prediction {
-                output,
-                confidence,
-                models_used: arrived,
-                models_missing: missing,
-                latency: start.elapsed(),
-            }
+            app.policy.combine(&state, &input, &preds)
         };
-
+        let prediction = Prediction {
+            output,
+            confidence,
+            models_used: arrived,
+            models_missing: selected.len() - arrived,
+            latency: start.elapsed(),
+        };
         self.inner.predictions.mark();
         self.inner
             .latency_us
@@ -1249,26 +1141,7 @@ impl Clipper {
 
         // Join feedback with predictions through the cache: recent
         // predictions hit; unseen inputs are evaluated.
-        let (tx, mut rx) = mpsc::channel::<(ModelId, Result<Output, PredictError>)>(
-            app.cfg.candidate_models.len().max(1),
-        );
-        for model in app.cfg.candidate_models.iter().cloned() {
-            let mal = self.inner.mal.clone();
-            let input = input.clone();
-            let tx = tx.clone();
-            let use_cache = self.inner.cache_enabled;
-            tokio::spawn(async move {
-                let result = mal.predict(&model, input, use_cache).await;
-                let _ = tx.send((model, result)).await;
-            });
-        }
-        drop(tx);
-        let mut preds: HashMap<ModelId, Output> = HashMap::new();
-        while let Some((model, result)) = rx.recv().await {
-            if let Ok(out) = result {
-                preds.insert(model, out);
-            }
-        }
+        let preds = self.gather(&app.cfg.candidate_models, &input, None).await;
 
         self.inner
             .state_mgr
@@ -1288,6 +1161,63 @@ impl Clipper {
             .map_err(|e| PredictError::Failed(e.to_string()))?;
         self.inner.feedback_count.mark();
         Ok(())
+    }
+
+    /// Ask every model in `models` for its output on `input` and collect
+    /// the answers that arrive by `deadline` (all of them when `None`);
+    /// failed calls are left out. The calls are polled inline on the
+    /// caller's task, so every model dispatches on the first poll. Calls
+    /// still pending at the deadline finish on one spawned task, so their
+    /// cache entries fill and their model's running default keeps
+    /// refreshing (§5.2.2).
+    async fn gather(
+        &self,
+        models: &[ModelId],
+        input: &Input,
+        deadline: Option<Instant>,
+    ) -> HashMap<ModelId, Output> {
+        let use_cache = self.inner.cache_enabled;
+        let mut calls: Vec<ModelCall> = models
+            .iter()
+            .map(|model| {
+                let (mal, model, input) = (self.inner.mal.clone(), model.clone(), input.clone());
+                Box::pin(async move {
+                    let result = mal.predict(&model, input, use_cache).await;
+                    (model, result)
+                }) as ModelCall
+            })
+            .collect();
+        let mut preds = HashMap::with_capacity(calls.len());
+        let all = poll_fn(|cx| {
+            calls.retain_mut(|call| match call.as_mut().poll(cx) {
+                Poll::Ready((model, result)) => {
+                    if let Ok(out) = result {
+                        preds.insert(model, out);
+                    }
+                    false
+                }
+                Poll::Pending => true,
+            });
+            if calls.is_empty() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        });
+        match deadline {
+            Some(deadline) => {
+                let _ = tokio::time::timeout_at(deadline.into(), all).await;
+            }
+            None => all.await,
+        }
+        if !calls.is_empty() {
+            tokio::spawn(async move {
+                for call in calls {
+                    let _ = call.await;
+                }
+            });
+        }
+        preds
     }
 
     /// Current policy state for `(app, context)` — used by reports.
@@ -1442,6 +1372,49 @@ mod tests {
         assert_eq!(p.models_used, 1);
         assert_eq!(p.models_missing, 1);
         assert!(p.confidence <= 1.0);
+        // The straggler finishes off-path: its cache entry fills and its
+        // answer becomes the slow model's running default.
+        assert_eq!(clipper.abstraction().default_output(&m1), None);
+        let settle_by = Instant::now() + Duration::from_secs(2);
+        while clipper.abstraction().cache().pending_len() > 0
+            || clipper.abstraction().default_output(&m1).is_none()
+        {
+            assert!(Instant::now() < settle_by, "straggler never settled");
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
+        assert_eq!(
+            clipper.abstraction().default_output(&m1),
+            Some(Output::Class(9))
+        );
+    }
+
+    #[tokio::test]
+    async fn dropping_a_predict_mid_gather_wedges_no_cache_entry() {
+        let clipper = Clipper::builder().build();
+        let models = [ModelId::new("a", 1), ModelId::new("b", 1)];
+        for m in &models {
+            clipper.add_model(m.clone(), BatchConfig::default());
+            clipper
+                .add_replica(m, const_transport(3, Some(Duration::from_millis(200))))
+                .unwrap();
+        }
+        clipper.register_app(
+            AppConfig::new("app", models.to_vec())
+                .with_policy(PolicyKind::MajorityVote)
+                .with_slo(Duration::from_secs(1)),
+        );
+        let dropped = tokio::time::timeout(
+            Duration::from_millis(10),
+            clipper.predict("app", None, Arc::new(vec![1.0])),
+        )
+        .await;
+        assert!(dropped.is_err(), "the predict was dropped mid-gather");
+        assert_eq!(clipper.abstraction().cache().pending_len(), 2);
+        let settle_by = Instant::now() + Duration::from_secs(2);
+        while clipper.abstraction().cache().pending_len() > 0 {
+            assert!(Instant::now() < settle_by, "cache entries left pending");
+            tokio::time::sleep(Duration::from_millis(5)).await;
+        }
     }
 
     #[tokio::test]

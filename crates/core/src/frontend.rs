@@ -37,6 +37,7 @@ use crate::types::{Feedback, ModelId};
 use serde::{Deserialize, Serialize};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::time::Duration;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
 
@@ -46,6 +47,8 @@ const MAX_BODY: usize = 4 << 20;
 const MAX_HEAD: usize = 64 * 1024;
 /// Socket read granularity.
 const READ_CHUNK: usize = 8 * 1024;
+/// Pause before retrying a failed `accept()`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// A running HTTP frontend.
 pub struct HttpFrontend {
@@ -61,11 +64,20 @@ impl HttpFrontend {
         let task = tokio::spawn(async move {
             // One spawned task per connection: a stalled request on one
             // connection never holds up accepting the next.
-            while let Ok((conn, _)) = listener.accept().await {
-                let clipper = clipper.clone();
-                tokio::spawn(async move {
-                    let _ = serve_connection(conn, clipper).await;
-                });
+            loop {
+                match listener.accept().await {
+                    Ok((conn, _)) => {
+                        let clipper = clipper.clone();
+                        tokio::spawn(async move {
+                            let _ = serve_connection(conn, clipper).await;
+                        });
+                    }
+                    // EMFILE, ECONNABORTED, ...: the listener itself is
+                    // fine. Retry the syscall after a pause rather than
+                    // wait for readiness — the edge-triggered reactor
+                    // raises no new edge for a connection already queued.
+                    Err(_) => tokio::time::sleep(ACCEPT_RETRY).await,
+                }
             }
         });
         Ok(HttpFrontend { local_addr, task })

@@ -4,16 +4,13 @@
 //! model selection state for each user, context, or session", held in an
 //! external store (the paper uses Redis; we use `clipper-statestore`).
 //! Updates are optimistic read-modify-write: feedback for the same context
-//! arriving concurrently retries on CAS conflict, so no observation is
-//! silently dropped.
+//! arriving concurrently retries on CAS conflict until it is stored, so no
+//! observation is dropped or refused.
 
 use super::{PolicyState, SelectionPolicy};
 use crate::types::ModelId;
 use clipper_statestore::{CasOutcome, StateStore};
 use std::sync::Arc;
-
-/// Maximum CAS retries before giving up on an observation.
-const MAX_CAS_RETRIES: usize = 16;
 
 /// Manages per-(app, context) policy state in a statestore.
 #[derive(Clone)]
@@ -26,15 +23,12 @@ pub struct SelectionStateManager {
 pub enum StateError {
     /// State bytes failed to deserialize (e.g. version skew).
     Corrupt(String),
-    /// CAS contention exceeded the retry budget.
-    Contention,
 }
 
 impl std::fmt::Display for StateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StateError::Corrupt(m) => write!(f, "corrupt selection state: {m}"),
-            StateError::Contention => write!(f, "selection state contention"),
         }
     }
 }
@@ -86,7 +80,11 @@ impl SelectionStateManager {
         Ok(state)
     }
 
-    /// Read-modify-write the state under optimistic concurrency.
+    /// Read-modify-write the state under optimistic concurrency. Retries
+    /// until the write is stored: every CAS conflict means another
+    /// writer's update landed, so the system as a whole always progresses
+    /// and a fixed retry budget would only turn contention into lost
+    /// feedback.
     pub fn update<F>(
         &self,
         app: &str,
@@ -100,7 +98,7 @@ impl SelectionStateManager {
         F: FnMut(&mut PolicyState),
     {
         let key = Self::key(app, context);
-        for _ in 0..MAX_CAS_RETRIES {
+        loop {
             // Ensure it exists.
             let (bytes, version) = match self.store.get_versioned(&key) {
                 Some(x) => x,
@@ -120,7 +118,6 @@ impl SelectionStateManager {
                 CasOutcome::Conflict(_) | CasOutcome::Missing => continue,
             }
         }
-        Err(StateError::Contention)
     }
 
     /// Drop the state for a context (e.g. user reset).

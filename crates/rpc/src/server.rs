@@ -18,6 +18,9 @@ use std::time::{Duration, Instant};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, oneshot};
 
+/// Pause before retrying a failed `accept()`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// Metadata announced by a container at registration.
 #[derive(Clone, Debug)]
 pub struct ContainerInfo {
@@ -169,7 +172,13 @@ async fn accept_loop(
     loop {
         let (stream, peer) = match listener.accept().await {
             Ok(x) => x,
-            Err(_) => break,
+            // EMFILE, ECONNABORTED, ...: retry the syscall after a pause;
+            // the edge-triggered reactor raises no new edge for a
+            // connection already queued in the backlog.
+            Err(_) => {
+                tokio::time::sleep(ACCEPT_RETRY).await;
+                continue;
+            }
         };
         let reg_tx = reg_tx.clone();
         tokio::spawn(async move {

@@ -8,10 +8,14 @@ use crate::resp::RespValue;
 use crate::store::{CasOutcome, StateStore};
 use bytes::BytesMut;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
 use tokio::net::{TcpListener, TcpStream};
+
+/// Pause before retrying a failed `accept()`.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 /// A running statestore listener.
 pub struct StateStoreServer {
@@ -22,6 +26,11 @@ pub struct StateStoreServer {
     /// [`sever_connections`](Self::sever_connections)) actually drops
     /// established connections instead of leaking them past the server.
     conns: Arc<parking_lot::Mutex<Vec<tokio::task::JoinHandle<()>>>>,
+    /// Bumped on every sever. A connection stops serving once the epoch
+    /// moves past the one it was accepted in: `abort` alone cannot stop a
+    /// task already mid-poll on another worker, which would otherwise
+    /// answer a request that arrives after the sever.
+    epoch: Arc<AtomicU64>,
 }
 
 impl StateStoreServer {
@@ -33,11 +42,25 @@ impl StateStoreServer {
         let conns: Arc<parking_lot::Mutex<Vec<tokio::task::JoinHandle<()>>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let conns_for_accept = conns.clone();
+        let epoch = Arc::new(AtomicU64::new(0));
+        let epoch_for_accept = epoch.clone();
         let accept_task = tokio::spawn(async move {
-            while let Ok((conn, _)) = listener.accept().await {
+            loop {
+                let conn = match listener.accept().await {
+                    Ok((conn, _)) => conn,
+                    // EMFILE, ECONNABORTED, ...: retry the syscall after a
+                    // pause; the edge-triggered reactor raises no new edge
+                    // for a connection already queued in the backlog.
+                    Err(_) => {
+                        tokio::time::sleep(ACCEPT_RETRY).await;
+                        continue;
+                    }
+                };
                 let store = s.clone();
+                let epoch = epoch_for_accept.clone();
+                let accepted_in = epoch.load(Ordering::Acquire);
                 let task = tokio::spawn(async move {
-                    let _ = serve_conn(conn, store).await;
+                    let _ = serve_conn(conn, store, epoch, accepted_in).await;
                 });
                 let mut live = conns_for_accept.lock();
                 live.retain(|t| !t.is_finished());
@@ -49,6 +72,7 @@ impl StateStoreServer {
             store,
             accept_task,
             conns,
+            epoch,
         })
     }
 
@@ -67,6 +91,7 @@ impl StateStoreServer {
     /// a server restart looks like — their connection dies mid-stream and
     /// a fresh dial succeeds.
     pub fn sever_connections(&self) {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
         for task in self.conns.lock().drain(..) {
             task.abort();
         }
@@ -80,11 +105,19 @@ impl Drop for StateStoreServer {
     }
 }
 
-async fn serve_conn(mut conn: TcpStream, store: Arc<StateStore>) -> std::io::Result<()> {
+async fn serve_conn(
+    mut conn: TcpStream,
+    store: Arc<StateStore>,
+    epoch: Arc<AtomicU64>,
+    accepted_in: u64,
+) -> std::io::Result<()> {
     conn.set_nodelay(true)?;
     let mut inbuf = BytesMut::with_capacity(4096);
     let mut outbuf = BytesMut::with_capacity(4096);
     loop {
+        if epoch.load(Ordering::Acquire) != accepted_in {
+            return Ok(()); // severed: answer nothing more
+        }
         // Drain every complete pipelined request already buffered.
         loop {
             match RespValue::parse(&mut inbuf) {
